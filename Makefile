@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-exec bench-stream bench-store bench-obs bench-parallel bench-fault soak soak-smoke vet docs-check clean
+.PHONY: build test bench bench-exec bench-stream bench-store bench-obs bench-fault soak soak-smoke vet docs-check clean
 
 build:
 	$(GO) build ./...
@@ -9,15 +9,22 @@ vet:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 
+# test also vets, builds and tests the benchmark harness (its own module
+# under bench/), so an API change it depends on fails here rather than
+# in a benchmark run.
 test: vet
 	$(GO) test -race ./...
+	$(GO) -C bench vet ./... && $(GO) -C bench build ./... && $(GO) -C bench test ./...
 
 # bench measures serving-engine throughput (1, 4, GOMAXPROCS workers)
-# against the single-threaded baseline driver and records the result in
-# BENCH_engine.json, the repo's perf trajectory. BENCH_ENGINE_K overrides
-# the corpus scale (default 4000 holders ≈ 10k+ queries).
+# against the single-threaded baseline driver, then merges the
+# engine.MatchBatch 1/2/4/GOMAXPROCS worker curve (with speedup_vs_1) as
+# the "parallel" section, and records both in BENCH_engine.json, the
+# repo's perf trajectory. BENCH_ENGINE_K overrides the corpus scale
+# (default 4000 holders ≈ 10k+ queries).
 bench:
 	BENCH_ENGINE_OUT=$(CURDIR)/BENCH_engine.json $(GO) test -run TestWriteBenchReport -count=1 -v ./internal/engine/
+	BENCH_PARALLEL_ENGINE_OUT=$(CURDIR)/BENCH_engine.json $(GO) test -run TestWriteParallelBenchReport -count=1 -timeout 30m -v ./internal/engine/
 	@cat BENCH_engine.json
 
 # bench-exec measures every execution path of the exec kernel against
@@ -67,21 +74,6 @@ bench-store:
 bench-obs:
 	BENCH_OBS_OUT=$(CURDIR)/BENCH_obs.json $(GO) test -run TestWriteObsBenchReport -count=1 -timeout 30m -v ./internal/obs/
 	@cat BENCH_obs.json
-
-# bench-parallel records the deterministic-parallelism scaling curves:
-# for each of the three parallelized layers — engine.MatchBatch serving,
-# the batch worklist chase (semantics.EnforceWorkers) and the
-# incremental stream chase — it measures a 1/2/4/GOMAXPROCS worker
-# curve with speedup_vs_1 and merges it as a "parallel" section into
-# the layer's existing BENCH_*.json (other sections untouched). On a
-# 1-core box every speedup hovers near 1.0; that run is the
-# non-regression record, re-run on a multi-core box for the scaling
-# record. BENCH_ENGINE_K / BENCH_EXEC_K / BENCH_STREAM_K override the
-# corpus scales.
-bench-parallel:
-	BENCH_PARALLEL_ENGINE_OUT=$(CURDIR)/BENCH_engine.json $(GO) test -run TestWriteParallelBenchReport -count=1 -timeout 30m -v ./internal/engine/
-	BENCH_PARALLEL_EXEC_OUT=$(CURDIR)/BENCH_exec.json $(GO) test -run TestWriteParallelExecReport -count=1 -timeout 30m -v .
-	BENCH_PARALLEL_STREAM_OUT=$(CURDIR)/BENCH_stream.json $(GO) test -run TestWriteParallelStreamReport -count=1 -timeout 30m -v ./internal/stream/
 
 # bench-fault runs the robustness suite and records the admission gate:
 # first the crash-point fault matrix + fault/retry unit tests under

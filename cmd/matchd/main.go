@@ -90,7 +90,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "corpus generation seed")
 	flag.IntVar(&cfg.m, "m", 5, "number of RCKs to derive and serve")
 	flag.IntVar(&cfg.workers, "workers", 0, "engine worker-pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.chaseWorkers, "chase-workers", 0, "stream chase worker count (0 = GOMAXPROCS, 1 = serial); any count enforces identically")
 	flag.IntVar(&cfg.shards, "shards", 0, "index/store shard count (0 = default)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "durability directory (empty = in-memory only)")
 	flag.Int64Var(&cfg.maxBody, "max-body-bytes", 1<<20, "request body cap (413 beyond it)")
@@ -266,21 +265,17 @@ func newLogger(format, level string) (*slog.Logger, error) {
 // config collects the service parameters (flag values, and the knobs
 // tests turn directly).
 type config struct {
-	addr    string
-	k       int
-	seed    int64
-	m       int
-	workers int
-	shards  int
-	// chaseWorkers is the deterministic parallel chase's worker count
-	// (stream.WithWorkers); 0 selects GOMAXPROCS. Every count produces
-	// the identical instance, clusters and counters.
-	chaseWorkers int
-	dataDir      string
-	maxBody      int64
-	snapBytes    int64
-	noSync       bool
-	debugAddr    string
+	addr      string
+	k         int
+	seed      int64
+	m         int
+	workers   int
+	shards    int
+	dataDir   string
+	maxBody   int64
+	snapBytes int64
+	noSync    bool
+	debugAddr string
 
 	// Tracing: slowTraceMS is the tail-retention threshold for completed
 	// request traces, traceSample keeps a deterministic 1-in-N sample of
@@ -389,7 +384,8 @@ func (s *server) build() error {
 	}
 	streamOpts := []stream.Option{
 		stream.ClusterRules(gen.DedupClusterRules()...),
-		stream.WithWorkers(cfg.chaseWorkers),
+		// The chase is serial; workers only fan out batch index seeding.
+		stream.WithWorkers(0),
 		stream.WithLogger(s.log),
 	}
 	if cfg.reg != nil {
@@ -884,7 +880,7 @@ func (s *server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 // enforcement put it in, and the chase work its arrival caused. With
 // ?explain=1, Explain carries the full chase provenance — the per-rule
 // candidate funnel and the firing sequence with cell-level before/after
-// values, in commit order (identical at any -chase-workers count).
+// values, in firing order.
 type addResponse struct {
 	ID           int             `json:"id"`
 	Cluster      int             `json:"cluster"`
@@ -991,7 +987,6 @@ type statsResponse struct {
 	ReductionRatio float64      `json:"reduction_ratio"`
 	Plan           string       `json:"plan"`
 	Workers        int          `json:"workers"`
-	ChaseWorkers   int          `json:"chase_workers"`
 	UptimeSeconds  float64      `json:"uptime_seconds"`
 	Health         string       `json:"health"`
 	Stream         stream.Stats `json:"stream"`
@@ -1005,7 +1000,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		ReductionRatio: st.ReductionRatio(),
 		Plan:           s.eng.Plan().String(),
 		Workers:        s.eng.Workers(),
-		ChaseWorkers:   s.eng.Stream().Workers(),
 		UptimeSeconds:  time.Since(s.started).Seconds(),
 		Health:         s.healthState().String(),
 		Stream:         s.eng.Stream().Stats(),

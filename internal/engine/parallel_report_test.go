@@ -10,7 +10,7 @@ import (
 )
 
 // parallelCurvePoint is one workers entry of a scaling curve recorded
-// by `make bench-parallel`: the measured value at that worker count and
+// by `make bench`: the measured value at that worker count and
 // its speedup over the workers=1 run of the same measure.
 type parallelCurvePoint struct {
 	Workers   int     `json:"workers"`
@@ -20,7 +20,7 @@ type parallelCurvePoint struct {
 }
 
 // parallelSection is the "parallel" object merged into an existing
-// BENCH_*.json by the bench-parallel report tests. GoMaxProcs records
+// BENCH_engine.json by TestWriteParallelBenchReport. GoMaxProcs records
 // how many cores the curve actually had — on a 1-core box every
 // speedup_vs_1 hovers near 1.0 by construction (goroutines time-slice
 // one CPU), which is the non-regression signal, not the scaling signal.
@@ -56,7 +56,7 @@ func mergeParallelSection(t *testing.T, path string, section parallelSection) {
 	t.Logf("merged parallel section into %s", path)
 }
 
-// parallelWorkerCounts is the bench-parallel curve: 1, 2, 4 and
+// parallelWorkerCounts is the MatchBatch scaling curve: 1, 2, 4 and
 // GOMAXPROCS when that adds a new point.
 func parallelWorkerCounts() []int {
 	counts := []int{1, 2, 4}
@@ -68,7 +68,7 @@ func parallelWorkerCounts() []int {
 
 // TestWriteParallelBenchReport measures MatchBatch throughput across
 // the worker curve and merges the result into BENCH_engine.json's
-// "parallel" section (wired up as `make bench-parallel`). Skipped
+// "parallel" section (wired up in `make bench`). Skipped
 // unless BENCH_PARALLEL_ENGINE_OUT names the report file.
 func TestWriteParallelBenchReport(t *testing.T) {
 	out := os.Getenv("BENCH_PARALLEL_ENGINE_OUT")

@@ -235,21 +235,19 @@ func TestRecoveryEquivalence(t *testing.T) {
 }
 
 // TestRecoveryEquivalenceParallelChase re-runs recovery equivalence
-// with the parallel chase enabled end to end: the reference enforcer,
-// the journaled engine AND the recovering engine (whose WAL replay
-// re-enforces every insert) all run stream.WithWorkers(4), with the
-// speculation thresholds shrunk so the small history actually exercises
-// the speculative paths. A subset of cut points suffices — the full
-// sweep is TestRecoveryEquivalence's job; this pins that durability is
-// worker-count-independent.
+// with the enforcer's one parallel path, batch index seeding, enabled:
+// the reference enforcer runs stream.WithWorkers(1), while the
+// journaled engine AND the recovering engine (whose WAL replay
+// re-enforces the history's opening batch and every insert) run
+// stream.WithWorkers(4). A subset of cut points suffices — the full
+// sweep is TestRecoveryEquivalence's job; this pins that seeding
+// fan-out and replay are independent of the worker count.
 func TestRecoveryEquivalenceParallelChase(t *testing.T) {
-	restore := stream.TuneSpeculation(16, 1, 1<<20)
-	defer restore()
 	ctx, sigma, ops := recHistory(t, 12, 1)
 	plan := selfMatchPlan(t, ctx)
 
 	refEnf, err := stream.New(ctx, sigma,
-		stream.ClusterRules(gen.DedupClusterRules()...), stream.WithWorkers(4))
+		stream.ClusterRules(gen.DedupClusterRules()...), stream.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}

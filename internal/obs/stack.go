@@ -147,9 +147,6 @@ func (o *StreamObserver) AttachStream(e *stream.Enforcer) {
 	reg.CollectGauge("mdmatch_stream_clusters",
 		"Clusters in the maintained instance (including singletons).", nil,
 		func(emit Emit) { emit(float64(e.Stats().Clusters)) })
-	reg.CollectGauge("mdmatch_stream_chase_workers",
-		"Chase worker count (1 = serial; >1 = deterministic parallel chase).", nil,
-		func(emit Emit) { emit(float64(e.Workers())) })
 	reg.CollectGauge("mdmatch_stream_queue_depth",
 		"Insert operations in flight (queued on the insertion lock or chasing).", nil,
 		func(emit Emit) { emit(float64(e.QueueDepth())) })

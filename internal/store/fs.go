@@ -14,7 +14,7 @@ import (
 // degraded service keeps serving reads when the disk misbehaves.
 //
 // The interface is deliberately narrow: exactly the calls the store
-// makes, nothing speculative. Every mutation of durable state flows
+// makes and no others. Every mutation of durable state flows
 // through it, so an injected fault at operation index i is the complete
 // failure model for "the i-th I/O this store ever did went wrong".
 type FS interface {

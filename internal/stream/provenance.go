@@ -7,11 +7,9 @@ import "context"
 // A TraceSink observes the chase's COMMITTED effects — candidates
 // enumerated, pairs examined, LHS matches, cluster links, firings with
 // their resolved cell values — through hooks placed at exactly the
-// points where the serial chase and the speculate/commit parallel chase
-// (parallel.go) apply those effects. The parallel chase records nothing
-// during speculation: verdicts are provisional until commitPair replays
-// them in serial order, so the provenance stream is bit-identical at
-// any worker count by construction (property-tested in
+// points where the chase applies those effects. The chase is serial, so
+// the provenance stream is a pure function of (data, Σ, arrival order)
+// and identical at any WithWorkers count (property-tested in
 // provenance_test.go). A nil sink (the default) costs one nil check per
 // hook site.
 //
@@ -22,8 +20,7 @@ import "context"
 type TraceSink interface {
 	// Candidates reports one rule's scan frontier size for one pass
 	// (blockable and materialized-dense scans only; a dense bit-filter
-	// sweep enumerates no frontier, and reports none at any worker
-	// count).
+	// sweep enumerates no frontier, and reports none).
 	Candidates(rule, n int)
 	// Examined reports one candidate pair visited for a rule.
 	Examined(rule int)
@@ -155,10 +152,8 @@ func (e *Enforcer) ClusterTrail(id int) ([]LinkEvent, bool) {
 
 // --- commit-point effect helpers ---
 //
-// visit (the serial chase) and commitPair (the parallel chase's commit
-// step) share these helpers, so every provenance hook fires at a commit
-// point and nowhere else: the two paths agree on the provenance stream
-// because they run the same code.
+// visit applies every effect of a candidate through these helpers, so
+// each provenance hook fires at exactly one program point.
 
 // noteExamined applies the pair-examined effects of one visit.
 func (e *Enforcer) noteExamined(r *ruleState) {

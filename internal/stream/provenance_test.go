@@ -47,13 +47,11 @@ func explainRun(t *testing.T, workers int, opts ...Option) (*Enforcer, []*Explai
 	return e, out
 }
 
-// TestStreamExplainDeterminism is the provenance property test: with
-// speculation forced on, the full explain stream of every insertion —
-// funnel counts, firing sequence with cell-level before/after values,
-// link events — must be bit-identical at every worker count, because
-// provenance is recorded only at serial commit points.
+// TestStreamExplainDeterminism is the provenance property test: the
+// full explain stream of every insertion — funnel counts, firing
+// sequence with cell-level before/after values, link events — must be
+// bit-identical at every worker count, because the chase is serial.
 func TestStreamExplainDeterminism(t *testing.T) {
-	forceSpeculation(t, 16, 1, 1<<20)
 	_, ref := explainRun(t, 1)
 	for _, workers := range []int{2, 4} {
 		_, got := explainRun(t, workers)
@@ -72,9 +70,9 @@ func TestStreamExplainDeterminism(t *testing.T) {
 // TestStreamExplainDenseDeterminism repeats the determinism property on
 // an all-similarity rule set with a tiny materialization cap, so the
 // dense bit-filter sweep (which enumerates no candidate frontier and
-// must report none at any worker count) executes speculatively.
+// must report none at any worker count) runs.
 func TestStreamExplainDenseDeterminism(t *testing.T) {
-	forceSpeculation(t, 8, 1, 4)
+	forceDenseSweep(t)
 	ctx, tuples := shuffledCredit(t, 15, 3)
 	d := similarity.DL(0.8)
 	sigma := []core.MD{
@@ -197,7 +195,6 @@ func TestClusterTrail(t *testing.T) {
 // TestClusterTrailDeterminism: the trail, like the explain stream, is
 // identical at every worker count.
 func TestClusterTrailDeterminism(t *testing.T) {
-	forceSpeculation(t, 16, 1, 1<<20)
 	serial, _ := explainRun(t, 1)
 	for _, workers := range []int{2, 4} {
 		e, _ := explainRun(t, workers)

@@ -70,6 +70,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -224,14 +225,9 @@ type Enforcer struct {
 
 	applied []int // rule indices fired during the current insertion
 
-	// Parallel chase state (see parallel.go): worker count, speculator,
-	// incremental dictionary warm-up cursors, and the operator
-	// evaluations performed by speculation workers (merged fills), which
-	// the caches' own counters never saw.
-	workers   int
-	spec      *speculator
-	warm      []warmEntry
-	specEvals int64
+	// workers is the per-rule fan-out of seedIndexes on multi-row
+	// batches (WithWorkers).
+	workers int
 
 	// pending counts insert operations in flight (queued on the
 	// insertion lock or chasing); a service's admission control reads it
@@ -301,9 +297,6 @@ func New(ctx schema.Pair, sigma []core.MD, opts ...Option) (*Enforcer, error) {
 		if err := opt(e); err != nil {
 			return nil, err
 		}
-	}
-	if e.workers > 1 {
-		e.initParallel()
 	}
 	if a, ok := e.obs.(interface{ AttachStream(*Enforcer) }); ok {
 		a.AttachStream(e)
@@ -598,10 +591,8 @@ func (e *Enforcer) RuleStats() []RuleStat {
 
 // CacheStats returns the cumulative verdict-cache traffic across every
 // similarity conjunct: lookups, and the misses that evaluated their
-// operator. Under a serial chase misses equal
-// Stats().Chase.LHSEvaluations (a parallel chase counts its merged
-// speculative evaluations there too); like it, they are excluded from
-// recovery equivalence (caches rebuild cold).
+// operator. Misses equal Stats().Chase.LHSEvaluations; like it, they
+// are excluded from recovery equivalence (caches rebuild cold).
 func (e *Enforcer) CacheStats() (lookups, misses int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -640,19 +631,41 @@ func (e *Enforcer) appendRowCore(id int, vals []string) (int, error) {
 	return row, nil
 }
 
+// WithWorkers sets how many goroutines seedIndexes fans a multi-row
+// batch's join-index seeding out to; n <= 0 selects GOMAXPROCS. The
+// default is 1. The chase itself is always serial, so every outcome —
+// instance, clusters, counters, provenance — is identical at any count.
+func WithWorkers(n int) Option {
+	return func(e *Enforcer) error {
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		e.workers = n
+		return nil
+	}
+}
+
 // seedIndexes re-aliases every rule's id slices (AppendRow may have
 // reallocated the column slices) and adds rows firstRow.. to the
 // blockable rules' join indexes. Rules are mutually independent, so a
 // multi-row batch fans out across rules when workers are configured —
 // each worker touches only its rules' indexes, and per-rule adds stay
-// in row order, so the resulting indexes are identical at any worker
-// count. Soundex seed keys are warmed first so workers never race on a
-// dictionary's first-use code assignment.
+// in row order, so bucket membership is identical at any worker count.
+// Soundex codes are assigned first, in dictionary order, so workers
+// never race on a dictionary's first-use code assignment (the codes'
+// numbering, and with it the uint64 join keys, can differ from the
+// serial first-use order; which rows share a bucket cannot).
 func (e *Enforcer) seedIndexes(firstRow int) {
 	n := e.inst.Len()
 	workers := 1
 	if e.workers > 1 && n-firstRow > 1 {
-		e.warmNew()
+		for _, r := range e.rules {
+			for _, s := range r.seeds {
+				if s.sdx {
+					s.dict.WarmSoundex()
+				}
+			}
+		}
 		workers = e.workers
 	}
 	par.For(len(e.rules), workers, func(k int) {
@@ -695,13 +708,6 @@ func (e *Enforcer) takeApplied() []int {
 // pass-structured rounds, until a full round fires nothing. It returns
 // the applications and passes of this enforcement.
 func (e *Enforcer) run() (apps, passes int, err error) {
-	if sp := e.spec; sp != nil {
-		// Workers must never trigger first-use memoization or index a
-		// stamp out of range; the chase itself adds no rows and invents
-		// no values, so warming and sizing once per enforcement suffices.
-		e.warmNew()
-		sp.growStamps(e.inst.Len())
-	}
 	maxPasses := e.ch.cellCount() + 2
 	startApps := e.stats.Applications
 	for {
@@ -727,9 +733,7 @@ func (e *Enforcer) run() (apps, passes int, err error) {
 }
 
 func (e *Enforcer) operatorEvaluations() int64 {
-	// specEvals are the evaluations speculation workers performed and
-	// MergeFills accepted; the caches' own counters never saw them.
-	total := e.specEvals
+	var total int64
 	for _, c := range e.conjs {
 		total += c.Evaluations()
 	}
@@ -758,16 +762,6 @@ func (e *Enforcer) touched(ti, ai int, v string) {
 	left, right := s.relL[ai], s.relR[ai]
 	if !left && !right {
 		return // the scanning rule's verdicts cannot have changed
-	}
-	if sp := e.spec; sp != nil {
-		// Invalidate this chunk's speculations involving the row: its
-		// verdicts for the scanning rule may have changed.
-		if left {
-			sp.stampL[ti] = sp.clock
-		}
-		if right {
-			sp.stampR[ti] = sp.clock
-		}
 	}
 	if e.bitsL != nil { // dense sweep: widen the filters
 		if left {
@@ -892,14 +886,6 @@ func (e *Enforcer) scanRule(r *ruleState) bool {
 	e.base, e.baseIdx = base, 0
 	e.over, e.overSet = &over, make(map[int64]struct{})
 	e.curOrd = -1
-	if e.spec != nil && len(base) >= specMinPairs {
-		fired := e.commitBlockedSpec(r)
-		e.ordScratch = base[:0]
-		e.scanning = nil
-		e.base, e.baseIdx = nil, 0
-		e.over, e.overSet = nil, nil
-		return fired
-	}
 	fired := false
 	for {
 		var ord int64
@@ -926,7 +912,7 @@ func (e *Enforcer) scanRule(r *ruleState) bool {
 
 // denseMaterializeCap bounds the ord codes a dense scan materializes
 // (8 MiB of int64) before switching to the bit-filter sweep. A var so
-// the parallel property tests can shrink it to exercise the sweep.
+// the dense equivalence test can shrink it to exercise the sweep.
 var denseMaterializeCap = int64(1) << 20
 
 // scanDenseSweep visits a dense rule's candidates by sweeping the full
@@ -946,12 +932,6 @@ func (e *Enforcer) scanDenseSweep(r *ruleState, n int) bool {
 	}
 	clear(r.dirtyL)
 	clear(r.dirtyR)
-	if e.spec != nil && int64(n)*int64(n) >= int64(specMinPairs) {
-		fired := e.scanDenseSpec(r, n)
-		e.scanning = nil
-		e.bitsL, e.bitsR = nil, nil
-		return fired
-	}
 	fired := false
 	for i1 := 0; i1 < n; i1++ {
 		if !e.bitsL[i1] {
@@ -980,8 +960,7 @@ func (e *Enforcer) scanDenseSweep(r *ruleState, n int) bool {
 // The whole decision runs on interned ids; strings are only read on a
 // verdict-cache miss. The effects — counters, cluster links, RHS
 // identifications, provenance — are applied through the commit-point
-// helpers in provenance.go, shared with the parallel chase's
-// commitPair so both paths observe identical sequences.
+// helpers in provenance.go.
 func (e *Enforcer) visit(r *ruleState, i1, i2 int) bool {
 	e.noteExamined(r)
 	for ci := range r.lhs {

@@ -359,13 +359,34 @@ func TestStreamInsertEquivalenceGen(t *testing.T) {
 	}
 }
 
-// TestStreamInsertEquivalenceHolderStyle repeats the property test with
-// a rule set containing only similarity conjuncts (every rule scans
-// densely), exercising the dense frontier paths.
+// forceDenseSweep shrinks denseMaterializeCap so every dense scan takes
+// the bit-filter sweep; the default is restored when the test ends.
+func forceDenseSweep(t *testing.T) {
+	t.Helper()
+	old := denseMaterializeCap
+	denseMaterializeCap = 4
+	t.Cleanup(func() { denseMaterializeCap = old })
+}
+
+// TestStreamInsertEquivalenceDense repeats the property test with a
+// rule set containing only similarity conjuncts (every rule scans
+// densely), exercising the dense frontier paths: once at the default
+// materialization cap (ord codes materialized), once with the cap
+// shrunk so every scan takes the bit-filter sweep (scanDenseSweep).
 func TestStreamInsertEquivalenceDense(t *testing.T) {
 	ctx, tuples := shuffledCredit(t, 15, 3)
+	sigma := denseSigma(ctx)
+	checkStreamed(t, "dense", ctx, sigma, tuples, nil)
+
+	forceDenseSweep(t)
+	checkStreamed(t, "dense-sweep", ctx, sigma, tuples, nil)
+}
+
+// denseSigma is a rule set with only similarity conjuncts, so every
+// rule scans densely.
+func denseSigma(ctx schema.Pair) []core.MD {
 	d := similarity.DL(0.8)
-	sigma := []core.MD{
+	return []core.MD{
 		core.MustMD(ctx,
 			[]core.Conjunct{core.C("cno", d, "cno")},
 			[]core.AttrPair{core.P("fn", "fn"), core.P("ln", "ln"), core.P("dob", "dob")}),
@@ -373,7 +394,29 @@ func TestStreamInsertEquivalenceDense(t *testing.T) {
 			[]core.Conjunct{core.C("dob", d, "dob"), core.C("ln", d, "ln"), core.C("fn", d, "fn")},
 			[]core.AttrPair{core.P("tel", "tel"), core.P("email", "email")}),
 	}
-	checkStreamed(t, "dense", ctx, sigma, tuples, nil)
+}
+
+// TestStreamParallelDenseEquivalence pins that WithWorkers leaves the
+// dense per-insertion paths untouched: with the all-similarity rule set
+// and the cap shrunk so every scan takes scanDenseSweep, every insertion
+// at workers=4 stays bit-identical to the from-scratch seed chase.
+func TestStreamParallelDenseEquivalence(t *testing.T) {
+	forceDenseSweep(t)
+	ctx, tuples := shuffledCredit(t, 15, 3)
+	checkStreamed(t, "parallel-dense-sweep", ctx, denseSigma(ctx), tuples, nil, WithWorkers(4))
+}
+
+// TestStreamParallelInsertEquivalence pins that WithWorkers leaves
+// per-insertion enforcement untouched: a single-row insert never fans
+// out, so at workers ∈ {2, 4, 8} every insertion stays bit-identical —
+// instance, applications, passes, applied rules, clusters — to the
+// from-scratch seed chase.
+func TestStreamParallelInsertEquivalence(t *testing.T) {
+	ctx, tuples := shuffledCredit(t, 18, 3)
+	for _, workers := range []int{2, 4, 8} {
+		checkStreamed(t, fmt.Sprintf("workers=%d", workers),
+			ctx, gen.DedupMDs(ctx), tuples, gen.DedupClusterRules(), WithWorkers(workers))
+	}
 }
 
 // TestStreamBatchEquivalence checks InsertBatch: on an empty Enforcer
@@ -449,6 +492,84 @@ func TestStreamBatchEquivalence(t *testing.T) {
 		}
 		sameInstance(t, "warm batch", e.Instance(), want.inst)
 	})
+}
+
+// TestStreamParallelBatchEquivalence checks InsertBatch with the
+// parallel index seeding on: on an empty enforcer it must still
+// reproduce the batch chase on the whole dataset exactly.
+func TestStreamParallelBatchEquivalence(t *testing.T) {
+	cfg := gen.DefaultConfig(40)
+	cfg.Seed = 5
+	ds, err := gen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := schema.MustPair(ds.Credit.Rel, ds.Credit.Rel)
+	sigma := gen.DedupMDs(ctx)
+	want := oracleEnforce(t, ctx, ds.Credit.Clone(), sigma, nil)
+	for _, workers := range []int{2, 8} {
+		e, err := New(ctx, sigma, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.InsertBatch(ds.Credit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("batch(workers=%d)", workers)
+		if res.Applications != want.apps || res.Passes != want.passes {
+			t.Fatalf("%s: applications/passes = %d/%d, reference = %d/%d",
+				label, res.Applications, res.Passes, want.apps, want.passes)
+		}
+		if !slices.Equal(res.AppliedMDs, want.applied) {
+			t.Fatalf("%s: applied MDs = %v, reference = %v", label, res.AppliedMDs, want.applied)
+		}
+		sameInstance(t, label, e.Instance(), want.inst)
+	}
+}
+
+// TestStreamParallelCounters pins every chase counter across worker
+// counts: a batch load (seeded in parallel at workers > 1; its dense
+// frontier runs to tens of thousands of pairs) followed by single
+// inserts must report exactly the workers=1 Stats — LHSEvaluations
+// included, since the chase itself is serial — and per-rule telemetry.
+func TestStreamParallelCounters(t *testing.T) {
+	ctx, tuples := shuffledCredit(t, 150, 5)
+	sigma := gen.DedupMDs(ctx)
+	split := len(tuples) * 2 / 3
+	run := func(workers int) *Enforcer {
+		t.Helper()
+		e, err := New(ctx, sigma, ClusterRules(gen.DedupClusterRules()...), WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := record.NewInstance(ctx.Left)
+		for _, tup := range tuples[:split] {
+			if _, err := batch.AppendWithID(tup.ID, slices.Clone(tup.Values)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, tup := range tuples[split:] {
+			if _, err := e.InsertTuple(tup); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+	serial := run(1)
+	ss := serial.Stats()
+	for _, workers := range []int{2, 4} {
+		e := run(workers)
+		if st := e.Stats(); st != ss {
+			t.Errorf("workers=%d: Stats = %+v, workers=1 = %+v", workers, st, ss)
+		}
+		if !slices.Equal(e.RuleStats(), serial.RuleStats()) {
+			t.Errorf("workers=%d: RuleStats = %v, workers=1 = %v", workers, e.RuleStats(), serial.RuleStats())
+		}
+	}
 }
 
 // TestStreamNotConfluentWithBatch pins the reason the streaming

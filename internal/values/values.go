@@ -148,26 +148,18 @@ func (d *Dict) RuneLen(id ID) int {
 	return int(d.runeLen[id])
 }
 
-// WarmDerived precomputes the lazily derived forms — the decoded rune
-// slice (runes) and/or the interned Soundex code (sdx) — for every ID
-// in [from, Len()), and returns Len(). Runes and SoundexID mutate the
-// dictionary on first use, so any layer that reads values from
-// concurrent goroutines (the speculative chase workers) must warm the
-// forms it needs while it still holds exclusive access; after warming,
-// Runes, RuneLen and SoundexID on warmed IDs are pure reads. Callers
-// keep the returned cursor and warm incrementally as the dictionary
-// grows.
-func (d *Dict) WarmDerived(from int, runes, sdx bool) int {
-	n := d.Len()
-	for i := from; i < n; i++ {
-		if runes && d.runeLen[i] < 0 {
-			d.Runes(ID(i))
-		}
-		if sdx && d.sdx[i] < 0 {
+// WarmSoundex assigns the interned Soundex code of every value not yet
+// coded, in ID order. SoundexID mutates the dictionary on first use, so
+// a layer that reads codes from concurrent goroutines (the stream
+// enforcer's parallel index seeding) warms them while it still holds
+// exclusive access; until the next Intern, SoundexID is then a pure
+// read.
+func (d *Dict) WarmSoundex() {
+	for i := range d.sdx {
+		if d.sdx[i] < 0 {
 			d.SoundexID(ID(i))
 		}
 	}
-	return n
 }
 
 // SoundexID returns the interned Soundex code of the value: two values
