@@ -62,6 +62,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -826,6 +827,12 @@ func (s *server) handleAddRecord(w http.ResponseWriter, r *http.Request) {
 	vals, err := p.resolve(s.ctx.Left)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// A record with no non-empty value carries nothing to match on; it
+	// is rejected before it takes an id or reaches the journal.
+	if !slices.ContainsFunc(vals, func(v string) bool { return v != "" }) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("record has no non-empty value"))
 		return
 	}
 	var id int

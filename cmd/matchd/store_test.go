@@ -341,3 +341,46 @@ func TestServeShutdownDuringBatch(t *testing.T) {
 		t.Fatalf("recovered %d records, live had %d", got, want)
 	}
 }
+
+// TestServeEmptyRecordNotJournaled: a POST /records whose record has no
+// non-empty value — the empty record form, or values that are all "" —
+// is a 400 and appends nothing to the WAL, while POST /match still
+// accepts the same empty record.
+func TestServeEmptyRecordNotJournaled(t *testing.T) {
+	cfg := durableConfig(t, t.TempDir())
+	srv, err := buildServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.close()
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+
+	lsn := srv.store().LSN()
+	blank := make([]string, srv.ctx.Left.Arity())
+	for _, body := range []map[string]any{
+		{"record": map[string]string{}},
+		{"record": map[string]string{"fn": "", "ln": ""}},
+		{"values": blank},
+	} {
+		status, out := doJSON(t, ts, http.MethodPost, "/records", body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("POST /records %v = %d (%s), want 400", body, status, out["error"])
+		}
+		if got := srv.store().LSN(); got != lsn {
+			t.Fatalf("POST /records %v journaled: WAL records %d -> %d", body, lsn, got)
+		}
+	}
+	status, out := doJSON(t, ts, http.MethodPost, "/match", map[string]any{"record": map[string]string{}})
+	if status != http.StatusOK {
+		t.Fatalf("POST /match with an empty record = %d (%s), want 200", status, out["error"])
+	}
+	// A record with one non-empty value is still a durable insert.
+	status, out = doJSON(t, ts, http.MethodPost, "/records", map[string]any{"record": map[string]string{"fn": "Ada"}})
+	if status != http.StatusOK {
+		t.Fatalf("POST /records with one value = %d (%s), want 200", status, out["error"])
+	}
+	if got := srv.store().LSN(); got != lsn+1 {
+		t.Fatalf("WAL records after one insert = %d, want %d", got, lsn+1)
+	}
+}

@@ -8,8 +8,8 @@ import (
 )
 
 // MDClosureLiteral is a direct transliteration of Figures 5 and 6 of the
-// paper, kept as the reference implementation for cross-validation tests
-// and the ablation benchmarks (DESIGN.md §5):
+// paper, kept as the oracle of the compiled closure's differential tests
+// and as the baseline of the ablation benchmarks (DESIGN.md §2.1, §5):
 //
 //   - the main loop is the literal "repeat until no further changes; for
 //     each MD φ in Σ" scan (lines 5-11), not the watch-indexed

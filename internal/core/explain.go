@@ -128,53 +128,20 @@ func (e *Explanation) Render(sigma []MD) string {
 }
 
 // Explain runs the deduction of ϕ from Σ and records the derivation.
-// The trace is produced by an instrumented re-run of the closure, so its
-// verdict always agrees with Deduce.
+// The trace is observed on the closure run Deduce uses, so its verdict
+// always agrees with Deduce.
 func Explain(sigma []MD, phi MD) (*Explanation, error) {
-	if err := phi.Validate(); err != nil {
+	c, rhs, err := compileGoal(sigma, phi)
+	if err != nil {
 		return nil, err
-	}
-	ctx := phi.Ctx
-	// Instrumented closure: reuse the production algorithm but observe
-	// fact assignments. We re-implement the thin driver here, delegating
-	// to the same primitive operations via closureRun.
-	opIndex := map[string]int{similarity.EqName: eqIdx}
-	ops := []similarity.Operator{similarity.Eq()}
-	addOp := func(op similarity.Operator) {
-		if op == nil {
-			return
-		}
-		if _, ok := opIndex[op.Name()]; !ok {
-			opIndex[op.Name()] = len(ops)
-			ops = append(ops, op)
-		}
-	}
-	for _, md := range sigma {
-		for _, c := range md.LHS {
-			addOp(c.Op)
-		}
-	}
-	for _, c := range phi.LHS {
-		addOp(c.Op)
-	}
-	h := ctx.TotalColumns()
-	cl := &Closure{ctx: ctx, h: h, ops: ops, opIndex: opIndex, m: make([]bool, h*h*len(ops))}
-	run := &closureRun{
-		Closure: cl,
-		sigma:   sigma,
-		watch:   make(map[[2]int][]watcher),
-		conjOp:  make([][]int, len(sigma)),
-		conjMet: make([][]bool, len(sigma)),
-		unmet:   make([]int, len(sigma)),
-		applied: make([]bool, len(sigma)),
 	}
 	exp := &Explanation{Goal: phi}
 	ref := func(col int) FactRef {
-		side, attr := ctx.ColRef(col)
+		side, attr := phi.Ctx.ColRef(col)
 		return FactRef{Side: side, Attr: attr}
 	}
-	run.observe = func(a, b, op int, source traceSource) {
-		step := ProofStep{FactA: ref(a), FactB: ref(b), Op: ops[op].Name(), MDIndex: -1}
+	c.run.observe = func(a, b, op int, source traceSource) {
+		step := ProofStep{FactA: ref(a), FactB: ref(b), Op: c.run.ops[op].Name(), MDIndex: -1}
 		switch source.kind {
 		case traceSeed:
 			step.Kind = StepHypothesis
@@ -187,52 +154,8 @@ func Explain(sigma []MD, phi MD) (*Explanation, error) {
 		}
 		exp.Steps = append(exp.Steps, step)
 	}
-	for i, md := range sigma {
-		if err := md.Validate(); err != nil {
-			return nil, fmt.Errorf("core: Σ[%d]: %w", i, err)
-		}
-		run.conjOp[i] = make([]int, len(md.LHS))
-		run.conjMet[i] = make([]bool, len(md.LHS))
-		run.unmet[i] = len(md.LHS)
-		for j, c := range md.LHS {
-			ca, err := ctx.Col(schema.Left, c.Pair.Left)
-			if err != nil {
-				return nil, err
-			}
-			cb, err := ctx.Col(schema.Right, c.Pair.Right)
-			if err != nil {
-				return nil, err
-			}
-			run.conjOp[i][j] = opIndex[c.OpName()]
-			run.watch[[2]int{ca, cb}] = append(run.watch[[2]int{ca, cb}], watcher{md: i, conj: j})
-		}
-	}
-	for _, c := range phi.LHS {
-		ca, err := ctx.Col(schema.Left, c.Pair.Left)
-		if err != nil {
-			return nil, err
-		}
-		cb, err := ctx.Col(schema.Right, c.Pair.Right)
-		if err != nil {
-			return nil, err
-		}
-		run.source = traceSource{kind: traceSeed}
-		if run.assign(ca, cb, opIndex[c.OpName()]) {
-			run.propagate()
-		}
-		run.drainFires()
-	}
-	run.drainFires()
-
-	exp.Deduced = true
-	for _, p := range phi.RHS {
-		ok, err := cl.Identified(p.Left, p.Right)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			exp.Deduced = false
-		}
+	if exp.Deduced, err = c.deduce(phi.LHS, rhs); err != nil {
+		return nil, err
 	}
 	return exp, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mdmatch/internal/schema"
@@ -26,6 +27,11 @@ type CostModel struct {
 	Ac func(AttrPair) float64
 
 	ct map[AttrPair]int
+	// ct, lt and ac by the column pair id (a*h+b) of every LHS pair of
+	// the Σ being searched: lhsCost reads these instead of hashing pairs.
+	lhsID    map[AttrPair]int
+	cts      []int
+	lts, acs []float64
 }
 
 // DefaultCostModel returns the paper's experimental configuration:
@@ -36,18 +42,23 @@ func DefaultCostModel() *CostModel {
 
 // Cost returns the current cost of an attribute pair.
 func (c *CostModel) Cost(p AttrPair) float64 {
-	lt := 0.0
+	lt, ac := c.ltAc(p)
+	return c.W1*float64(c.ct[p]) + c.W2*lt + c.W3/ac
+}
+
+// ltAc returns lt and the guarded ac of a pair.
+func (c *CostModel) ltAc(p AttrPair) (lt, ac float64) {
+	ac = 1.0
 	if c.Lt != nil {
 		lt = c.Lt(p)
 	}
-	ac := 1.0
 	if c.Ac != nil {
 		ac = c.Ac(p)
 		if ac <= 0 {
 			ac = 1e-9 // guard: zero confidence means effectively infinite cost
 		}
 	}
-	return c.W1*float64(c.ct[p]) + c.W2*lt + c.W3/ac
+	return lt, ac
 }
 
 // KeyCost returns the summed pair cost of a key's conjuncts.
@@ -59,11 +70,13 @@ func (c *CostModel) KeyCost(k Key) float64 {
 	return total
 }
 
-// lhsCost returns the summed pair cost of an MD's LHS (procedure sortMD).
-func (c *CostModel) lhsCost(md MD) float64 {
+// lhsCost returns the summed pair cost of an MD's LHS (procedure
+// sortMD), given the pair ids of its conjuncts. It evaluates Cost's
+// expression in Cost's order, so ties break exactly as Cost's would.
+func (c *CostModel) lhsCost(ids []int) float64 {
 	total := 0.0
-	for _, cj := range md.LHS {
-		total += c.Cost(cj.Pair)
+	for _, id := range ids {
+		total += c.W1*float64(c.cts[id]) + c.W2*c.lts[id] + c.W3/c.acs[id]
 	}
 	return total
 }
@@ -71,12 +84,35 @@ func (c *CostModel) lhsCost(md MD) float64 {
 // resetCt clears the diversity counters (line 2 of findRCKs).
 func (c *CostModel) resetCt() { c.ct = make(map[AttrPair]int) }
 
+// index sets up, after resetCt, the pair-id view of ct, lt and ac that
+// lhsCost reads, for the LHS pairs of compiled Σ.
+func (c *CostModel) index(sigma []MD, comp *compiled) {
+	n := comp.h * comp.h
+	c.lhsID = make(map[AttrPair]int)
+	c.cts, c.lts, c.acs = make([]int, n), make([]float64, n), make([]float64, n)
+	k := 0
+	for _, md := range sigma {
+		for _, cj := range md.LHS {
+			id := comp.lhsPair[k]
+			k++
+			if _, ok := c.lhsID[cj.Pair]; ok {
+				continue
+			}
+			c.lhsID[cj.Pair] = id
+			c.lts[id], c.acs[id] = c.ltAc(cj.Pair)
+		}
+	}
+}
+
 // bump is procedure incrementCt: increment ct for each pair used by the
 // key that also occurs in the pairing set S.
 func (c *CostModel) bump(s map[AttrPair]struct{}, k Key) {
 	for _, cj := range k.Conjuncts {
 		if _, ok := s[cj.Pair]; ok {
 			c.ct[cj.Pair]++
+			if id, ok := c.lhsID[cj.Pair]; ok {
+				c.cts[id]++
+			}
 		}
 	}
 }
@@ -165,6 +201,15 @@ func Minimize(k Key, sigma []MD, cm *CostModel) (Key, error) {
 	if cm == nil {
 		cm = DefaultCostModel()
 	}
+	c, rhs, err := compileGoal(sigma, k.AsMD())
+	if err != nil {
+		return Key{}, err
+	}
+	return c.minimize(k, rhs, cm)
+}
+
+// minimize is Minimize on compiled Σ; rhs is the key's target.
+func (c *compiled) minimize(k Key, rhs []colPair, cm *CostModel) (Key, error) {
 	order := make([]int, len(k.Conjuncts))
 	for i := range order {
 		order[i] = i
@@ -174,21 +219,21 @@ func Minimize(k Key, sigma []MD, cm *CostModel) (Key, error) {
 		return cm.Cost(k.Conjuncts[order[a]].Pair) > cm.Cost(k.Conjuncts[order[b]].Pair)
 	})
 	removed := make([]bool, len(k.Conjuncts))
+	rest := make([]Conjunct, 0, len(k.Conjuncts))
 	current := func(skip int) []Conjunct {
-		out := make([]Conjunct, 0, len(k.Conjuncts))
+		rest = rest[:0]
 		for i, c := range k.Conjuncts {
 			if !removed[i] && i != skip {
-				out = append(out, c)
+				rest = append(rest, c)
 			}
 		}
-		return out
+		return rest
 	}
 	for _, idx := range order {
-		rest := current(idx)
-		if len(rest) == 0 {
+		if len(current(idx)) == 0 {
 			continue
 		}
-		ok, err := Deduce(sigma, MD{Ctx: k.Ctx, LHS: rest, RHS: k.Target.Pairs()})
+		ok, err := c.deduce(rest, rhs)
 		if err != nil {
 			return Key{}, err
 		}
@@ -196,7 +241,7 @@ func Minimize(k Key, sigma []MD, cm *CostModel) (Key, error) {
 			removed[idx] = true
 		}
 	}
-	return Key{Ctx: k.Ctx, Target: k.Target, Conjuncts: current(-1)}, nil
+	return Key{Ctx: k.Ctx, Target: k.Target, Conjuncts: slices.Clone(current(-1))}, nil
 }
 
 // FindRCKs implements algorithm findRCKs (Figure 7): given Σ, a target
@@ -214,19 +259,23 @@ func FindRCKs(ctx schema.Pair, sigma []MD, target Target, m int, cm *CostModel) 
 	if err := ctx.Comparable(target.Y1, target.Y2); err != nil {
 		return nil, fmt.Errorf("core: FindRCKs: %w", err)
 	}
-	for i, md := range sigma {
-		if err := md.Validate(); err != nil {
-			return nil, fmt.Errorf("core: FindRCKs: Σ[%d]: %w", i, err)
-		}
+	c, err := compile(ctx, sigma)
+	if err != nil {
+		return nil, fmt.Errorf("core: FindRCKs: %w", err)
+	}
+	rhs, err := c.colPairs(target.Pairs())
+	if err != nil {
+		return nil, err
 	}
 	if cm == nil {
 		cm = DefaultCostModel()
 	}
 	cm.resetCt()
+	cm.index(sigma, c)
 	s := Pairing(sigma, target) // line 1
 
 	// Lines 3-4: minimize the identity key and seed Γ.
-	gamma0, err := Minimize(IdentityKey(ctx, target), sigma, cm)
+	gamma0, err := c.minimize(IdentityKey(ctx, target), rhs, cm)
 	if err != nil {
 		return nil, err
 	}
@@ -238,20 +287,24 @@ func FindRCKs(ctx schema.Pair, sigma []MD, target Target, m int, cm *CostModel) 
 
 	// Lines 5-15: worklist over Γ; for each key, apply each MD in
 	// ascending LHS-cost order, minimize, and keep uncovered results.
+	lhsIDs := func(md int) []int { return c.lhsPair[c.lhsStart[md]:c.lhsStart[md+1]] }
+	remaining := make([]int, 0, len(sigma)) // indices into Σ
 	for i := 0; i < len(result); i++ {
-		remaining := make([]MD, len(sigma))
-		copy(remaining, sigma)
+		remaining = remaining[:0]
+		for j := range sigma {
+			remaining = append(remaining, j)
+		}
 		for len(remaining) > 0 {
 			// sortMD: pick the cheapest remaining MD (costs change as
 			// counters are bumped, so selection is per-iteration).
 			best := 0
-			bestCost := cm.lhsCost(remaining[0])
+			bestCost := cm.lhsCost(lhsIDs(remaining[0]))
 			for j := 1; j < len(remaining); j++ {
-				if c := cm.lhsCost(remaining[j]); c < bestCost {
-					best, bestCost = j, c
+				if cost := cm.lhsCost(lhsIDs(remaining[j])); cost < bestCost {
+					best, bestCost = j, cost
 				}
 			}
-			phi := remaining[best]
+			phi := sigma[remaining[best]]
 			remaining = append(remaining[:best], remaining[best+1:]...)
 
 			cand := Apply(result[i], phi)
@@ -261,14 +314,14 @@ func FindRCKs(ctx schema.Pair, sigma []MD, target Target, m int, cm *CostModel) 
 			// Defensive re-check: apply of a deducible key by an MD of Σ
 			// is always deducible (Lemmas 3.1-3.3); skip if not, rather
 			// than emit a non-key.
-			ok, err := DeduceKey(sigma, cand)
+			ok, err := c.deduce(cand.Conjuncts, rhs)
 			if err != nil {
 				return nil, err
 			}
 			if !ok {
 				continue
 			}
-			minimized, err := Minimize(cand, sigma, cm)
+			minimized, err := c.minimize(cand, rhs, cm)
 			if err != nil {
 				return nil, err
 			}
